@@ -179,10 +179,12 @@ class CacheHierarchy:
         """Hot-path data access: ``access(addr, "data")`` with the
         all-levels-hit-in-L1 case inlined.
 
-        The engine's translation fast path calls this for every TLB-hit
-        access; an L1 hit is one set probe, an LRU refresh and three
-        counter bumps -- byte-identical state transitions to the general
-        path, minus the per-level dispatch.
+        The engine's interpreted ``_access`` calls this whenever the
+        translation mirror exists -- for the batched core's residue
+        replays and for profiled slices; the batched core's own full
+        hits never reach it. An L1 hit is one set probe, an LRU
+        refresh and three counter bumps -- byte-identical state
+        transitions to the general path, minus the per-level dispatch.
         """
         block = addr >> CACHE_BLOCK_SHIFT
         l1 = self.l1

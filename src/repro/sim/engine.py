@@ -46,14 +46,13 @@ from ..workloads.base import (
     Workload,
     WorkloadPhase,
 )
-from .fastpath import batch_enabled
 from .machine import CoreContext, Machine
 from .results import RunResult, SimulationResult
 from .scheduler import RoundRobinScheduler
 
 _tp_sched_turn = tracepoint("sched.turn")
 
-#: Hoisted for the engine fast path's inlined L1-hit data access.
+#: Hoisted for the batched core's slice-exit flush of L1-hit accesses.
 _OUTCOME_L1 = AccessOutcome.L1
 
 #: Left-shift turning a host frame number into its first cache-block
@@ -71,15 +70,15 @@ _VEC_MIN = 32
 class _ChunkOps:
     """Per-op iterator view over a batched run's chunk stream.
 
-    When a run is batched, its interpreted paths (``REPRO_NO_FASTPATH``
-    is separate -- this covers profiled and fast-forwarded slices, which
-    dispatch to the reference loop) consume ops through this adapter
-    instead of ``workload.ops()``. It shares cursor state
-    (``run._chunk`` / ``run._cursor``) with ``_step_batched`` and
-    re-reads it on every ``__next__``, so flipping ``fast_forward`` or
-    enabling the profiler mid-run resumes the stream exactly where the
-    batch loop stopped -- no op is ever duplicated or skipped across
-    mode switches.
+    Whenever the translation mirror exists (every run except
+    ``REPRO_NO_FASTPATH`` ones, which read ``workload.ops()`` directly),
+    profiled and fast-forwarded slices dispatch to the interpreted loop,
+    and that loop consumes the batched stream through this adapter. It
+    shares cursor state (``run._chunk`` / ``run._cursor``) with
+    ``_step_batched`` and re-reads it on every ``__next__``, so flipping
+    ``fast_forward`` or enabling the profiler mid-run resumes the stream
+    exactly where the batch loop stopped -- no op is ever duplicated or
+    skipped across mode switches.
     """
 
     __slots__ = ("_run",)
@@ -137,19 +136,21 @@ class WorkloadRun:
         self.weight = weight
         self.counters = PerfCounters()
         self.measuring = False
-        # Hot-path bindings for the translation fast path (see
+        # Hot-path bindings for the batched engine core (see
         # repro.sim.fastpath): the per-core mirror of L1 TLB content,
         # the L1 TLB itself (its hit counter must advance exactly as the
         # interpreted path would), and the fixed issue cost.
         self._xlate = core.xlate
         self._tlb_l1 = core.tlb.l1
         self._base_cycles = core.config.base_cycles_per_access
-        # Data accesses go through the inlined hot-path entry when the
-        # fast path is on, and through the original layered entry under
+        # Interpreted data accesses (residue replays, profiled and
+        # fast-forwarded slices) go through the inlined L1-hit entry when
+        # the mirror exists, and through the original layered entry under
         # REPRO_NO_FASTPATH -- both reach identical state and counters.
-        # The L1 set array/geometry are bound here for the fully inlined
-        # L1-hit case; SetAssociativeCache mutates its sets in place and
-        # never rebinds them, so the aliases stay valid for the run.
+        # The L1 set array/geometry are bound here for the batched core's
+        # inlined L1-hit case; SetAssociativeCache mutates its sets in
+        # place and never rebinds them, so the aliases stay valid for the
+        # run.
         self._hier = core.hierarchy
         if core.xlate is not None:
             self._data_access = core.hierarchy.access_data
@@ -167,7 +168,7 @@ class WorkloadRun:
         self.current_phase: Optional[WorkloadPhase] = None
         self.ops_executed = 0
         self._regions: Dict[str, object] = {}
-        # Region memo shared by the fast paths: the VMA geometry of the
+        # Region memo of the batched core: the VMA geometry of the
         # most recently accessed region, compared by region-name object
         # identity (streams intern their region literals). Instance-level
         # so it survives slice boundaries and benign non-access ops
@@ -176,7 +177,9 @@ class WorkloadRun:
         self._memo_region: Optional[str] = None
         self._memo_start = 0
         self._memo_npages = 0
-        if core.xlate is not None and batch_enabled():
+        self._chunk: Optional[OpChunk] = None
+        self._cursor = 0
+        if core.xlate is not None:
             # Batched engine core: the workload feeds packed chunks
             # which _step_batched resolves against the mirror in bulk.
             # The interpreted paths view the same stream through
@@ -185,16 +188,11 @@ class WorkloadRun:
             self._chunks: Optional[Iterator[OpChunk]] = (
                 workload.ops_batched()
             )
-            self._chunk: Optional[OpChunk] = None
-            self._cursor = 0
             self._iterator: Iterator[MemoryOp] = _ChunkOps(self)
         else:
-            # REPRO_NO_BATCH keeps the per-op fast path (and under
-            # REPRO_NO_FASTPATH the reference engine) consuming the
+            # Under REPRO_NO_FASTPATH the reference engine consumes the
             # workload's own per-op generator, verbatim.
             self._chunks = None
-            self._chunk = None
-            self._cursor = 0
             self._iterator = workload.ops()
         #: Plain attribute rather than a property: the scheduler and the
         #: turn loops read it several times per turn, and a slice is only
@@ -225,7 +223,7 @@ class WorkloadRun:
         if xc is None or PROFILER.enabled or self.fast_forward:
             # Interpreted path, kept as the seed wrote it: under
             # REPRO_NO_FASTPATH this loop (with _execute's isinstance
-            # dispatch) IS the reference engine the fast path is
+            # dispatch) IS the reference engine the batched core is
             # differentially validated against. Profiled runs take it so
             # attribution sees the full chain; fast-forwarded pre-churn
             # takes it because _access short-circuits there anyway.
@@ -241,145 +239,7 @@ class WorkloadRun:
                     break
             self.ops_executed += executed
             return executed
-        if self._chunks is not None:
-            return self._step_batched(max_ops)
-        access = self._access
-        # Translation fast path (see repro.sim.fastpath): everything
-        # invariant across a slice is bound to locals up front, and the
-        # common TLB-hit/L1-hit access runs entirely inside this frame.
-        # Its state transitions are the byte-identical subset of the
-        # interpreted chain: L1 TLB LRU refresh + hit count, data-L1 LRU
-        # refresh + hit count, the unchanged latency charge, and the same
-        # counter bumps. Anything else -- unmapped region, mirror miss,
-        # write to a non-writable mapping, data-L1 miss -- falls through
-        # to the interpreted path, having spent only dict probes.
-        #
-        # Two batching tricks, both invisible outside the slice:
-        # - The region lookup is memoised on the region-name object (op
-        #   streams intern their region literals). The memo lives on the
-        #   instance so it survives slice boundaries and benign
-        #   non-access ops (PhaseOp); _execute drops it on any op that
-        #   can replace or grow a VMA -- mmap, brk, free.
-        # - Counter bumps for full fast hits are accumulated in a local
-        #   and flushed at slice exit. Every deferred quantity is a pure
-        #   increment no model code reads mid-slice (hit_rate and friends
-        #   are snapshot-time properties), every hit charges the same
-        #   constant cycles, and a PhaseOp ends the slice before harness
-        #   code can observe state -- so the flushed totals are
-        #   indistinguishable from per-op bumps.
-        # The hoists are safe because measurement state, fast_forward,
-        # and PROFILER can only change between turns.
-        regions_get = self._regions.get
-        tlb_l1 = self._tlb_l1
-        dl1 = self._dl1
-        dl1_sets = self._dl1_sets
-        dl1_nsets = self._dl1_nsets
-        hier = self._hier
-        base_cycles = self._base_cycles
-        l1_latency = hier._l1_latency
-        fast_cycles = base_cycles + l1_latency
-        measuring = self.measuring
-        mcounters = self.counters
-        tracer_active = TRACER.active
-        cached_region = self._memo_region
-        cached_start = self._memo_start
-        cached_npages = self._memo_npages
-        tlb_hits = 0  # fast ops whose translation hit the mirror
-        full_hits = 0  # fast ops that also hit the data L1
-        last_fast = False  # did the last access resolve fully fast?
-        while executed < max_ops:
-            try:
-                op = next(iterator)
-            except StopIteration:
-                self.finished = True
-                break
-            if op.__class__ is AccessOp:
-                executed += 1
-                region, page, block, write = op
-                if region is not cached_region:
-                    vma = regions_get(region)
-                    if vma is None:
-                        access(op)  # raises the unmapped-region error
-                        continue
-                    cached_region = region
-                    cached_start = vma.start_vpn
-                    cached_npages = vma.npages
-                if 0 <= page < cached_npages:
-                    vpn = cached_start + page
-                    entry = xc.get(vpn)
-                    if entry is not None and (entry[2] or not write):
-                        hfn, ways, _writable = entry
-                        del ways[vpn]
-                        ways[vpn] = hfn  # refresh L1 TLB LRU position
-                        tlb_hits += 1
-                        data_addr = (hfn << PAGE_SHIFT) | (
-                            (block & (BLOCKS_PER_PAGE - 1))
-                            << CACHE_BLOCK_SHIFT
-                        )
-                        cblock = data_addr >> CACHE_BLOCK_SHIFT
-                        cways = dl1_sets[cblock % dl1_nsets]
-                        if cblock in cways:
-                            del cways[cblock]
-                            cways[cblock] = None  # move to MRU position
-                            full_hits += 1
-                            last_fast = True
-                            if tracer_active:
-                                TRACER.advance(fast_cycles)
-                            continue
-                        # TLB fast hit but data-L1 miss: the layered walk
-                        # charges and attributes the deeper levels itself
-                        # (including last_outcome).
-                        last_fast = False
-                        cycles = base_cycles + hier.access_block(
-                            cblock, "data"
-                        )
-                        if tracer_active:
-                            TRACER.advance(cycles)
-                        if measuring:
-                            mcounters.accesses += 1
-                            mcounters.cycles += cycles
-                        continue
-                last_fast = False
-                access(op)
-                continue
-            # Sync the memo around the interpreted op: _execute clears
-            # the instance memo on VMA-changing ops (and leaves it for
-            # PhaseOp), so writing the locals back first and reloading
-            # after gives exactly that selectivity.
-            self._memo_region = cached_region
-            self._memo_start = cached_start
-            self._memo_npages = cached_npages
-            self._execute(op)
-            executed += 1
-            cached_region = self._memo_region
-            cached_start = self._memo_start
-            cached_npages = self._memo_npages
-            last_fast = False
-            if isinstance(op, PhaseOp):
-                break
-        # Slice-exit flush of the deferred fast-hit increments.
-        if tlb_hits:
-            tlb_l1.hits += tlb_hits
-        if full_hits:
-            dl1.hits += full_hits
-            if last_fast:
-                hier.last_outcome = _OUTCOME_L1
-            dcounters = hier._data_counters
-            if dcounters is None:
-                # Resolved lazily so a slice with no data access creates
-                # no stream entry, exactly like the interpreted path.
-                dcounters = hier._data_counters = hier.counters("data")
-            dcounters.accesses += full_hits
-            dcounters.cycles += full_hits * l1_latency
-            dcounters.served_by[_OUTCOME_L1] += full_hits
-            if measuring:
-                mcounters.accesses += full_hits
-                mcounters.cycles += full_hits * fast_cycles
-        self._memo_region = cached_region
-        self._memo_start = cached_start
-        self._memo_npages = cached_npages
-        self.ops_executed += executed
-        return executed
+        return self._step_batched(max_ops)
 
     def _step_batched(self, max_ops: int) -> int:
         """Batched engine core: resolve whole chunk segments at once.
@@ -400,9 +260,9 @@ class WorkloadRun:
         position*, because residue ops change LRU state that later fast
         classifications depend on. Counter increments for fast hits are
         flushed once per slice and the tracer clock is advanced in bulk
-        immediately before any observation point, both per the PR-5
-        deferral contract, so snapshots stay byte-identical to the
-        reference engine.
+        immediately before any observation point (the deferral
+        contract spelled out at the slice-exit flush), so snapshots stay
+        byte-identical to the reference engine.
         """
         executed = 0
         xc = self._xlate
@@ -450,7 +310,8 @@ class WorkloadRun:
                     continue
                 # Delimiting non-access op: advance the deferred clock
                 # past the fast hits that precede it, sync the region
-                # memo around the interpreted execution (see step), and
+                # memo around the interpreted execution (_execute drops
+                # it on VMA-changing ops and keeps it for PhaseOp), and
                 # honour the phase-boundary yield.
                 if tracer_active and full_hits > flushed_hits:
                     TRACER.advance((full_hits - flushed_hits) * fast_cycles)
@@ -731,8 +592,12 @@ class WorkloadRun:
                 i += 1
             executed += end - cursor
             cursor = end
-        # Slice-exit flush of the deferred fast-hit increments; same
-        # contract as the per-op fast path above.
+        # Slice-exit flush of the deferred fast-hit increments. Every
+        # deferred quantity is a pure increment no model code reads
+        # mid-slice (hit_rate and friends are snapshot-time properties),
+        # every full hit charges the same constant cycles, and a PhaseOp
+        # ends the slice before harness code can observe state -- so the
+        # flushed totals are indistinguishable from per-op bumps.
         tlb_hits = full_hits + slow_tlb_hits
         if tlb_hits:
             tlb_l1.hits += tlb_hits
@@ -823,7 +688,7 @@ class WorkloadRun:
 
     def _execute(self, op: MemoryOp) -> None:
         # Mmap/brk/free can replace or grow a VMA, so they drop the
-        # fast paths' region memo; PhaseOp (and plain accesses) cannot,
+        # batched core's region memo; PhaseOp (and plain accesses) cannot,
         # so the memo survives phase boundaries.
         if isinstance(op, AccessOp):
             self._access(op)
@@ -867,10 +732,10 @@ class WorkloadRun:
                 # would have EPT-faulted the frame in; do it eagerly here.
                 self.walker.host.ensure_backed(self.walker.vm, outcome.frame)
             return
-        # Interpreted path. The TLB-hit fast path lives in step(); this
-        # method serves mirror misses, profiled runs, and
-        # REPRO_NO_FASTPATH reference runs, and its state transitions are
-        # the contract the fast path replays.
+        # Interpreted path. The TLB-hit fast path lives in
+        # _step_batched; this method serves its residue replays,
+        # profiled runs, and REPRO_NO_FASTPATH reference runs, and its
+        # state transitions are the contract the batched core replays.
         vpn = self._vpn_for(op)
         cycles = self._base_cycles
         hfn = self.core.tlb.lookup(vpn)
@@ -938,9 +803,16 @@ class WorkloadRun:
             raise SimulationError(
                 f"{self.workload.name}: free of unknown region {op.region!r}"
             )
-        npages = op.npages or (vma.npages - op.start_page)
-        self.kernel.munmap(self.process, vma.start_vpn + op.start_page, npages)
-        if op.start_page == 0 and npages == vma.npages:
+        start = op.start_page
+        npages = op.npages or (vma.npages - start)
+        if not 0 <= start < start + npages <= vma.npages:
+            end = start + op.npages if op.npages else "end"
+            raise SimulationError(
+                f"{self.workload.name}: free of pages {start}..{end} outside "
+                f"region {op.region!r} ({vma.npages} pages)"
+            )
+        self.kernel.munmap(self.process, vma.start_vpn + start, npages)
+        if start == 0 and npages == vma.npages:
             del self._regions[op.region]
 
 

@@ -1,4 +1,4 @@
-"""The hot-path software translation cache behind the engine fast path.
+"""The software translation cache behind the batched engine core.
 
 Every :class:`~repro.workloads.base.AccessOp` of every experiment funnels
 through the same interpreted chain -- region lookup, two-level TLB probe,
@@ -7,7 +7,9 @@ hierarchy. For the common case -- a TLB hit followed by an L1 data hit --
 that chain is almost entirely Python call overhead: the *modelled* state
 change is one LRU refresh and a handful of counter increments.
 
-:class:`TranslationCache` collapses that case to a single dict probe. It
+:class:`TranslationCache` collapses that case to a single dict probe
+(and, through its dense numpy views, a whole address segment to one
+gather -- see :meth:`repro.sim.engine.WorkloadRun._step_batched`). It
 is a per-core dict keyed by guest virtual page number (one core runs one
 pinned process, so the ``(pid, vpn)`` key of the design collapses to
 ``vpn`` per core) holding the fully-resolved ``(hfn, l1_ways, writable)``
@@ -17,15 +19,15 @@ of translations currently resident in the L1 TLB:
     The final host physical frame the hardware TLB caches (the complete
     nested translation, as in §2.5).
 ``l1_ways``
-    The exact L1 TLB set dict holding ``vpn``, so the fast path can
+    The exact L1 TLB set dict holding ``vpn``, so the batched core can
     replay the LRU refresh the modelled TLB would perform -- without
     recomputing the set index or re-entering :mod:`repro.tlb.tlb`.
 ``writable``
     The cached permission: hardware TLBs cache the final translation
     *after* permission checks, so entries installed from a completed
-    walk or TLB hit are fully writable. Write accesses fall back to the
-    slow path whenever this bit is clear, so a future read-only install
-    can never skip a COW break.
+    walk or TLB hit are fully writable. Write accesses replay through
+    the interpreted path whenever this bit is clear, so a future
+    read-only install can never skip a COW break.
 
 Correctness contract (what keeps counters byte-identical)
 ---------------------------------------------------------
@@ -36,17 +38,19 @@ L1 mutation site -- insert, hit-promotion from L2, eviction of the LRU
 victim, single-page invalidate (TLB shootdown, which is how PTE mutations
 in :mod:`repro.pagetable.radix`, COW breaks, swap/reclaim and the
 sanitizer-visible unmap paths reach the machine model), and full flush.
-Because entries are only ever *copies* of live L1 state, a fast-path hit
-performs exactly the state transitions the interpreted path would: L1
-LRU refresh, ``l1.hits`` increment, and the unchanged cache-model charge
-for the data access. Nothing else in the model can observe the
-difference, which is what the byte-identical snapshot gate in
-``benchmarks/test_speedup.py`` pins.
+Because entries are only ever *copies* of live L1 state, a mirror hit in
+the batched core performs exactly the state transitions the interpreted
+path would: L1 LRU refresh, ``l1.hits`` increment, and the unchanged
+cache-model charge for the data access. Nothing else in the model can
+observe the difference, which is what the byte-identical snapshot gate
+in ``benchmarks/test_speedup.py`` pins.
 
-Set ``REPRO_NO_FASTPATH=1`` to disable the fast path (the engine then
-takes the fully-interpreted chain for every access); the translation
-cache is not built at all in that mode, so the TLB carries zero
-maintenance overhead.
+The engine has two modes. By default the batched core resolves chunk
+segments against this mirror. ``REPRO_NO_FASTPATH=1`` selects the
+reference engine instead: the fully-interpreted chain for every access,
+fed by the workload's per-op generator. The translation cache is not
+built at all in that mode, so the TLB carries zero maintenance
+overhead.
 """
 
 from __future__ import annotations
@@ -60,14 +64,6 @@ import numpy as np
 #: non-empty value ("0" counts as set: any value disables).
 NO_FASTPATH_ENV = "REPRO_NO_FASTPATH"
 
-#: Environment variable disabling the *batched* engine core while
-#: keeping the per-op translation fast path (the PR-5 engine). Same
-#: semantics as NO_FASTPATH_ENV: any value disables. The three-mode
-#: ladder -- batched (default), REPRO_NO_BATCH=1 (per-op fast path),
-#: REPRO_NO_FASTPATH=1 (fully interpreted reference) -- is what the
-#: speedup benches compare, all byte-identical.
-NO_BATCH_ENV = "REPRO_NO_BATCH"
-
 #: A translation-cache entry: (host frame, L1 TLB set dict, writable).
 Entry = Tuple[int, Dict[int, int], bool]
 
@@ -80,18 +76,6 @@ def fastpath_enabled() -> bool:
     simulation.
     """
     return not os.environ.get(NO_FASTPATH_ENV)
-
-
-def batch_enabled() -> bool:
-    """True unless ``REPRO_NO_BATCH`` is set in the environment.
-
-    Read at :class:`~repro.sim.engine.WorkloadRun` construction (not
-    import), like :func:`fastpath_enabled`, so tests and the batch
-    speedup bench can flip engine modes per simulation. Only meaningful
-    when the fast path itself is enabled: without the translation
-    mirror there is nothing for the batch loop to probe.
-    """
-    return not os.environ.get(NO_BATCH_ENV)
 
 
 class TranslationCache(dict):

@@ -266,8 +266,8 @@ def expand_chunks(chunks: Iterable[OpChunk]) -> Iterator[MemoryOp]:
     ``expand_chunks(w.ops_batched())`` must equal ``w.ops()`` op for op
     (blocks canonicalised to ``0..63``). The engine's interpreted paths
     consume batched streams through exactly this expansion, which is
-    what keeps ``REPRO_NO_BATCH``/profiled/fast-forward execution
-    byte-identical to native per-op generation.
+    what keeps profiled and fast-forwarded execution byte-identical to
+    the reference engine's native per-op generation.
     """
     for chunk in chunks:
         regions = chunk.regions

@@ -8,8 +8,9 @@ Three layers of defence, mirroring ``test_fastpath.py``:
   size including 1;
 * a hypothesis property test runs randomly scripted scenarios -- mixed
   mmap/brk/access/phase/free streams with both regions and permissions
-  varying -- under all three engine modes (batched, ``REPRO_NO_BATCH``,
-  ``REPRO_NO_FASTPATH``) and requires byte-identical metrics snapshots;
+  varying -- under both engine modes (batched, and the
+  ``REPRO_NO_FASTPATH`` reference) and requires byte-identical metrics
+  snapshots;
 * a scheduling test pins op-precise slice accounting: per-turn executed
   op counts must match the reference engine turn for turn, including
   the early slice end at every phase boundary.
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.config import GuestConfig, HostConfig, PlatformConfig
 from repro.metrics.collect import snapshot_simulation
-from repro.sim.fastpath import NO_BATCH_ENV, NO_FASTPATH_ENV
+from repro.sim.fastpath import NO_FASTPATH_ENV
 from repro.units import MB
 from repro.workloads import (
     AccessOp,
@@ -40,28 +41,22 @@ from repro.workloads import (
 from repro.workloads.graph import Bfs, ConnectedComponents, Nibble, PageRank
 from repro.workloads.spec import Gcc, LowPressureSpec, Mcf, Omnetpp, Xz
 
-MODES = ("batched", "fastpath", "reference")
+MODES = ("batched", "reference")
 
 
 def _force_mode(mode):
-    """Set the engine-mode env vars for ``mode``; returns saved values."""
-    saved = {
-        name: os.environ.pop(name, None)
-        for name in (NO_BATCH_ENV, NO_FASTPATH_ENV)
-    }
-    if mode == "fastpath":
-        os.environ[NO_BATCH_ENV] = "1"
-    elif mode == "reference":
+    """Set the engine-mode env var for ``mode``; returns its saved value."""
+    saved = os.environ.pop(NO_FASTPATH_ENV, None)
+    if mode == "reference":
         os.environ[NO_FASTPATH_ENV] = "1"
     return saved
 
 
 def _restore_mode(saved):
-    for name, value in saved.items():
-        if value is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = value
+    if saved is None:
+        os.environ.pop(NO_FASTPATH_ENV, None)
+    else:
+        os.environ[NO_FASTPATH_ENV] = saved
 
 
 def _small_platform():
@@ -136,7 +131,7 @@ class TestChunkProtocol:
 
 
 # --------------------------------------------------------------------- #
-# Three-mode scenario identity (hypothesis)
+# Mode scenario identity (hypothesis)
 # --------------------------------------------------------------------- #
 
 
@@ -203,7 +198,7 @@ def _run_script(script, mode, ops_per_slice=7):
         _restore_mode(saved)
 
 
-class TestThreeModeIdentity:
+class TestModeIdentity:
     @given(script=scripted_scenarios())
     @settings(max_examples=25, deadline=None)
     def test_random_scripts_identical_across_modes(self, script):
@@ -215,11 +210,9 @@ class TestThreeModeIdentity:
             mode: json.dumps(doc, sort_keys=True)
             for mode, doc in docs.items()
         }
-        assert rendered["batched"] == rendered["fastpath"]
         assert rendered["batched"] == rendered["reference"]
         # Slice accounting is op-precise: same ops executed per turn.
         assert turns["batched"] == turns["reference"]
-        assert turns["fastpath"] == turns["reference"]
 
 
 # --------------------------------------------------------------------- #
@@ -243,7 +236,6 @@ class TestSchedulingPrecision:
             for mode in MODES
         }
         assert turns["batched"] == turns["reference"]
-        assert turns["fastpath"] == turns["reference"]
         # The first slice really did end early, at the COMPUTE PhaseOp
         # (mmap + 5 accesses + the phase op), not at the 16-op budget.
         assert turns["batched"][0] == 7
@@ -267,7 +259,6 @@ class TestSchedulingPrecision:
             for mode, doc in docs.items()
         }
         assert rendered["batched"] == rendered["reference"]
-        assert rendered["fastpath"] == rendered["reference"]
 
     def test_mid_chunk_resume_preserves_stream(self):
         # ops_per_slice far below CHUNK_SIZE forces every chunk to be

@@ -5,7 +5,7 @@ import pytest
 from repro import PlatformConfig, Simulation, SimulationError
 from repro.config import GuestConfig, HostConfig
 from repro.units import MB
-from repro.workloads import PageRank, StressNg, WorkloadPhase
+from repro.workloads import PageRank, ScriptedWorkload, StressNg, WorkloadPhase
 from repro.workloads.base import (
     AccessOp,
     FreeOp,
@@ -166,6 +166,32 @@ class TestTranslationPath:
         sim = Simulation(small_platform())
         run = sim.add_workload(Broken("broken"))
         with pytest.raises(SimulationError):
+            sim.run_until_finished(run)
+
+    @pytest.mark.parametrize(
+        "free, span",
+        [
+            (FreeOp("a", 0, 100), "0..100"),  # would unmap region b too
+            (FreeOp("a", -2, 4), "-2..2"),  # would cut below region a
+            (FreeOp("a", 12), "12..end"),  # starts past region a
+        ],
+        ids=["past-end", "below-start", "start-past-end"],
+    )
+    def test_free_beyond_region_raises(self, free, span):
+        script = [
+            MmapOp("a", 8),
+            MmapOp("b", 8),
+            AccessOp("b", 0, write=True),
+            free,
+            AccessOp("b", 7),
+        ]
+        sim = Simulation(small_platform())
+        run = sim.add_workload(ScriptedWorkload("freer", script))
+        with pytest.raises(
+            SimulationError,
+            match=rf"^freer: free of pages {span} outside region 'a' "
+            r"\(8 pages\)$",
+        ):
             sim.run_until_finished(run)
 
 
