@@ -1,9 +1,4 @@
-"""Rule modules; importing this package registers every built-in rule.
-
-Order matters in one place: :mod:`fastpath_invalidation` registers an
-alias targeting ``mirror-coherence``, so :mod:`mirror_coherence` must
-be imported first.
-"""
+"""Rule modules; importing this package registers every built-in rule."""
 
 from . import (
     address_flow,
@@ -18,14 +13,12 @@ from . import (
     spawn_safety,
     units_discipline,
 )
-from . import fastpath_invalidation  # noqa: E402  (alias; see docstring)
 
 __all__ = [
     "address_flow",
     "address_math",
     "api_hygiene",
     "determinism",
-    "fastpath_invalidation",
     "hotpath",
     "ipa_address_flow",
     "mirror_coherence",

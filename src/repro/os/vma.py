@@ -119,7 +119,7 @@ class AddressSpace:
     ) -> Vma:
         """Allocate a fresh contiguous virtual range of ``npages`` pages."""
         if npages <= 0:
-            raise AllocationError("mmap of zero pages")
+            raise AllocationError(f"mmap of {npages} pages: npages must be positive")
         start = self._mmap_cursor
         while self.overlaps(start, npages):
             idx = bisect.bisect_right(self._starts, start + npages - 1) - 1

@@ -360,22 +360,28 @@ class WorkloadRun:
                     # gather -- read-only entries read as absent), then
                     # test whole-segment data-L1 residency with one
                     # C-level issuperset against the flat membership
-                    # mirror. Any failed guard -- page out of region
-                    # bounds, vpn past the array, any absent frame, any
-                    # non-resident block -- falls through to the scalar
-                    # loops below, which locate and replay the residue
-                    # in stream order. Success means every op in the
-                    # segment is a full fast hit, so the only state
-                    # change is the bulk LRU flush.
+                    # mirror. The arrays are indexed by vpn - xc.base,
+                    # and any slow-path install may replace them or move
+                    # the base, so both are re-read per segment. Any
+                    # failed guard -- page out of region bounds, slot
+                    # past either end of the array (a negative slot
+                    # would wrap to a live entry and fake a hit), any
+                    # absent frame, any non-resident block -- falls
+                    # through to the scalar loops below, which locate
+                    # and replay the residue in stream order. Success
+                    # means every op in the segment is a full fast hit,
+                    # so the only state change is the bulk LRU flush.
                     vpns_np = np.array(pages_seg, dtype=np.int64)  # simlint: disable=hotpath-alloc
                     arr = xc.hfn6 if readonly else xc.hfn6_w
+                    xbase = xc.base
+                    off = start - xbase
                     mx = int(vpns_np.max())
                     if (
                         mx < npages
-                        and start + mx < arr.shape[0]
-                        and int(vpns_np.min()) >= 0
+                        and off + mx < arr.shape[0]
+                        and int(vpns_np.min()) >= max(0, -off)
                     ):
-                        vpns_np += start
+                        vpns_np += off
                         hfn6 = arr[vpns_np]  # simlint: disable=hotpath-alloc
                         if int(hfn6.min()) >= 0:
                             np.bitwise_or(
@@ -387,6 +393,7 @@ class WorkloadRun:
                             if dl1_members.issuperset(cblocks):
                                 full_hits += end - cursor
                                 last_fast = True
+                                vpns_np += xbase
                                 self._flush_lru(vpns_np.tolist(), cblocks)  # simlint: disable=hotpath-alloc
                                 executed += end - cursor
                                 cursor = end
@@ -694,11 +701,13 @@ class WorkloadRun:
             self._access(op)
         elif isinstance(op, MmapOp):
             self._memo_region = None
+            self._check_unbound(op.region, "mmap")
             self._regions[op.region] = self.kernel.mmap(
                 self.process, op.npages, op.region
             )
         elif isinstance(op, BrkOp):
             self._memo_region = None
+            self._check_unbound(op.region, "brk")
             self._regions[op.region] = self.kernel.brk(
                 self.process, op.grow_pages
             )
@@ -709,6 +718,14 @@ class WorkloadRun:
             self.current_phase = op.phase
         else:  # pragma: no cover - defensive
             raise SimulationError(f"unknown op {op!r}")
+
+    def _check_unbound(self, region: str, kind: str) -> None:
+        # Rebinding a live name would leave its VMA mapped but
+        # unreachable, so it could never be freed.
+        if region in self._regions:
+            raise SimulationError(
+                f"{self.workload.name}: {kind} of live region {region!r}"
+            )
 
     def _vpn_for(self, op: AccessOp) -> int:
         vma = self._regions.get(op.region)

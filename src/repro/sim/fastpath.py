@@ -83,32 +83,40 @@ class TranslationCache(dict):
 
     A plain ``dict`` subclass so the hot probe is a C-level ``get``; the
     named methods below are the *invalidation hooks* every PTE/TLB
-    mutation site must reach (the ``fastpath-invalidation`` lint rule
-    enforces this statically for kernel code).
+    mutation site must reach (the ``mirror-coherence`` lint rule
+    enforces this statically over the whole call graph).
 
     Alongside the dict, two dense numpy views of the same mirror let
-    the batched engine probe a whole address segment at once:
+    the batched engine probe a whole address segment at once. Both are
+    indexed by ``vpn - base``, so they span only the VPNs this core has
+    installed rather than the whole guest address space:
 
     ``hfn6``
-        ``vpn -> hfn << 6`` (the cache-block prefix of the host frame),
-        or ``-1`` where no entry exists. One fancy-index gather turns a
-        segment of virtual page numbers into cache-block numbers.
+        ``hfn6[vpn - base] = hfn << 6`` (the cache-block prefix of the
+        host frame), or ``-1`` where no entry exists. One fancy-index
+        gather turns a segment of virtual page numbers into cache-block
+        numbers.
     ``hfn6_w``
         Same, but ``-1`` also where the entry is read-only, so write
         segments can use the identical gather without a permission
         loop (a read-only entry must fall back to the COW slow path).
 
-    Both arrays are maintained at exactly the four mutation hooks below
-    and grow by doubling on install; indices past the current size are
-    simply absent (the engine bounds-checks before gathering).
+    Both arrays are maintained at exactly the four mutation hooks below.
+    They start empty; the first install sets ``base`` to its VPN, and an
+    install outside ``[base, base + len)`` doubles them in the direction
+    it needs (growing downward moves ``base`` down, leaving slack below
+    for the next install). VPNs outside the span are simply absent, and
+    ``base`` can move on any install, so the engine re-reads it and
+    bounds-checks both ends before gathering.
     """
 
-    __slots__ = ("hfn6", "hfn6_w")
+    __slots__ = ("base", "hfn6", "hfn6_w")
 
     def __init__(self) -> None:
         super().__init__()
-        self.hfn6 = np.full(1, -1, dtype=np.int64)
-        self.hfn6_w = np.full(1, -1, dtype=np.int64)
+        self.base = 0
+        self.hfn6 = np.empty(0, dtype=np.int64)
+        self.hfn6_w = np.empty(0, dtype=np.int64)
 
     def install(self, vpn: int, hfn: int, ways: Dict[int, int], writable: bool = True) -> None:
         """Mirror ``vpn``'s L1 residency; called on L1 insert/promotion."""
@@ -116,25 +124,45 @@ class TranslationCache(dict):
         # the mirror design fundamentally needs (install runs on L1
         # *misses*, not on the per-access hit probe).
         self[vpn] = (hfn, ways, writable)  # simlint: disable=hotpath-alloc
-        hfn6 = self.hfn6
-        if vpn >= hfn6.shape[0]:
-            size = hfn6.shape[0]
-            while size <= vpn:
-                size *= 2
-            grown = np.full(size, -1, dtype=np.int64)  # simlint: disable=hotpath-alloc
-            grown[: hfn6.shape[0]] = hfn6
-            self.hfn6 = hfn6 = grown
-            grown = np.full(size, -1, dtype=np.int64)  # simlint: disable=hotpath-alloc
-            grown[: self.hfn6_w.shape[0]] = self.hfn6_w
-            self.hfn6_w = grown
-        hfn6[vpn] = hfn << 6
-        self.hfn6_w[vpn] = (hfn << 6) if writable else -1
+        slot = vpn - self.base
+        if not 0 <= slot < self.hfn6.shape[0]:
+            slot = self._grow(vpn)
+        self.hfn6[slot] = hfn << 6
+        self.hfn6_w[slot] = (hfn << 6) if writable else -1
+
+    def _grow(self, vpn: int) -> int:
+        """Double both views until they cover ``vpn``; returns its slot.
+
+        Existing slots keep their VPNs: an upward grow appends, a
+        downward grow prepends and lowers ``base`` by the added slots.
+        """
+        held = self.hfn6.shape[0]
+        if not held:
+            self.base = vpn
+        slots = held or 1
+        shift = 0
+        if vpn < self.base:
+            while self.base + held - slots > vpn:
+                slots *= 2
+            shift = slots - held
+            self.base -= shift
+        else:
+            while self.base + slots <= vpn:
+                slots *= 2
+        grown = np.full(slots, -1, dtype=np.int64)  # simlint: disable=hotpath-alloc
+        grown[shift : shift + held] = self.hfn6
+        self.hfn6 = grown
+        grown = np.full(slots, -1, dtype=np.int64)  # simlint: disable=hotpath-alloc
+        grown[shift : shift + held] = self.hfn6_w
+        self.hfn6_w = grown
+        return vpn - self.base
 
     def invalidate(self, vpn: int) -> None:
         """Drop one page (L1 eviction, TLB shootdown, PTE mutation)."""
         if self.pop(vpn, None) is not None:
-            self.hfn6[vpn] = -1
-            self.hfn6_w[vpn] = -1
+            slot = vpn - self.base
+            self.hfn6[slot] = -1
+            self.hfn6_w[slot] = -1
 
     def invalidate_many(self, vpns: Iterable[int]) -> None:
         """Drop a batch of pages (bulk TLB shootdown, e.g. a THP split).
@@ -144,12 +172,13 @@ class TranslationCache(dict):
         the result is identical to per-page :meth:`invalidate` calls.
         """
         pop = self.pop
+        base = self.base
         hfn6 = self.hfn6
         hfn6_w = self.hfn6_w
         for vpn in vpns:
             if pop(vpn, None) is not None:
-                hfn6[vpn] = -1
-                hfn6_w[vpn] = -1
+                hfn6[vpn - base] = -1
+                hfn6_w[vpn - base] = -1
 
     def flush(self) -> None:
         """Drop everything (full TLB flush / context switch)."""

@@ -260,6 +260,29 @@ class TestSchedulingPrecision:
         }
         assert rendered["batched"] == rendered["reference"]
 
+    def test_segment_below_mirror_base_is_not_a_false_hit(self):
+        # The first installs land high in region "a" (pages 64..127), so
+        # the mirror's base sits at page 64 and its 64 slots hold pages
+        # 96..127 live. The next segment (pages 32..63, >= _VEC_MIN ops)
+        # is entirely below the base: its slots are -32..-1, which
+        # numpy would wrap onto pages 96..127 -- live frames whose
+        # blocks (page % 32) are all data-L1 resident. Only the lower
+        # bounds check keeps that from passing as an all-hit.
+        script = [
+            MmapOp("a", 128),
+            *(AccessOp("a", page, block=page % 32) for page in range(64, 128)),
+            PhaseOp(WorkloadPhase.COMPUTE),
+            *(AccessOp("a", page, block=page % 32) for page in range(32, 64)),
+            PhaseOp(WorkloadPhase.DONE),
+        ]
+        docs = {
+            mode: _run_script(script, mode, ops_per_slice=256)[0]
+            for mode in MODES
+        }
+        assert json.dumps(docs["batched"], sort_keys=True) == json.dumps(
+            docs["reference"], sort_keys=True
+        )
+
     def test_mid_chunk_resume_preserves_stream(self):
         # ops_per_slice far below CHUNK_SIZE forces every chunk to be
         # consumed across many slices; totals must still be exact.

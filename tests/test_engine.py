@@ -4,10 +4,12 @@ import pytest
 
 from repro import PlatformConfig, Simulation, SimulationError
 from repro.config import GuestConfig, HostConfig
+from repro.sim.fastpath import NO_FASTPATH_ENV
 from repro.units import MB
 from repro.workloads import PageRank, ScriptedWorkload, StressNg, WorkloadPhase
 from repro.workloads.base import (
     AccessOp,
+    BrkOp,
     FreeOp,
     MemoryOp,
     MmapOp,
@@ -191,6 +193,26 @@ class TestTranslationPath:
             SimulationError,
             match=rf"^freer: free of pages {span} outside region 'a' "
             r"\(8 pages\)$",
+        ):
+            sim.run_until_finished(run)
+
+    @pytest.mark.parametrize("mode", ["batched", "reference"])
+    @pytest.mark.parametrize(
+        "rebind, kind",
+        [(MmapOp("a", 4), "mmap"), (BrkOp("a", 4), "brk")],
+        ids=["mmap", "brk"],
+    )
+    def test_rebinding_live_region_raises(self, monkeypatch, mode, rebind, kind):
+        # Rebinding would leave the first VMA mapped but unreachable.
+        if mode == "reference":
+            monkeypatch.setenv(NO_FASTPATH_ENV, "1")
+        else:
+            monkeypatch.delenv(NO_FASTPATH_ENV, raising=False)
+        script = [MmapOp("a", 8), AccessOp("a", 0, write=True), rebind]
+        sim = Simulation(small_platform())
+        run = sim.add_workload(ScriptedWorkload("remapper", script))
+        with pytest.raises(
+            SimulationError, match=rf"^remapper: {kind} of live region 'a'$"
         ):
             sim.run_until_finished(run)
 

@@ -15,6 +15,7 @@ Two layers of defence:
 
 import json
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +37,20 @@ def small_hierarchy():
     )
 
 
+def assert_dense_views(xc: TranslationCache) -> None:
+    """The base-relative numpy views hold exactly the dict's entries."""
+    for vpn, (hfn, _ways, writable) in xc.items():
+        slot = vpn - xc.base
+        assert 0 <= slot < xc.hfn6.shape[0]
+        assert xc.hfn6[slot] == hfn << 6
+        assert xc.hfn6_w[slot] == ((hfn << 6) if writable else -1)
+    # No stale slot survives an invalidate or flush.
+    assert np.count_nonzero(xc.hfn6 >= 0) == len(xc)
+    assert np.count_nonzero(xc.hfn6_w >= 0) == sum(
+        writable for _hfn, _ways, writable in xc.values()
+    )
+
+
 def assert_mirror_invariant(tlb: TlbHierarchy) -> None:
     """The mirror == L1 content, frame-for-frame, same set dicts."""
     resident = {}
@@ -46,6 +61,7 @@ def assert_mirror_invariant(tlb: TlbHierarchy) -> None:
         assert hfn == resident[vpn]
         assert ways is tlb.l1._sets[vpn % tlb.l1.num_sets]
         assert writable is True
+    assert_dense_views(tlb.xlate)
 
 
 class TestTranslationCacheMirror:
@@ -102,7 +118,14 @@ class TestTranslationCacheMirror:
         st.lists(
             st.tuples(
                 st.sampled_from(["insert", "lookup", "invalidate", "flush"]),
-                st.integers(min_value=0, max_value=30),
+                # Three sparse bands: the first install sets the base
+                # anywhere, so later ones grow the views up, grow them
+                # down, or land inside the span.
+                st.one_of(
+                    st.integers(min_value=0, max_value=30),
+                    st.integers(min_value=(1 << 16) - 15, max_value=(1 << 16) + 15),
+                    st.integers(min_value=(1 << 20) - 15, max_value=(1 << 20) + 15),
+                ),
             ),
             max_size=200,
         )
@@ -122,6 +145,62 @@ class TestTranslationCacheMirror:
             else:
                 tlb.flush()
             assert_mirror_invariant(tlb)
+
+
+class TestDenseViews:
+    def test_views_start_empty_and_first_install_sets_base(self):
+        xc = TranslationCache()
+        assert xc.hfn6.shape == xc.hfn6_w.shape == (0,)
+        xc.install(1 << 20, 9, {})
+        assert xc.base == 1 << 20
+        assert xc.hfn6.shape[0] == 1
+        assert_dense_views(xc)
+
+    def test_grow_up_and_down_keeps_entries(self):
+        xc = TranslationCache()
+        xc.install(1000, 1, {})
+        xc.install(1005, 2, {})  # up: base stays, 8 slots
+        assert (xc.base, xc.hfn6.shape[0]) == (1000, 8)
+        xc.install(999, 3, {})  # down: base drops by the added slots
+        assert (xc.base, xc.hfn6.shape[0]) == (992, 16)
+        xc.install(993, 4, {})  # just below the old base: no regrow
+        assert (xc.base, xc.hfn6.shape[0]) == (992, 16)
+        assert_dense_views(xc)
+
+    def test_read_only_entry_absent_from_writable_view(self):
+        xc = TranslationCache()
+        xc.install(50, 7, {}, writable=False)
+        xc.install(52, 8, {})
+        assert xc.hfn6_w[50 - xc.base] == -1
+        assert xc.hfn6_w[52 - xc.base] == 8 << 6
+        assert_dense_views(xc)
+        xc.invalidate_many([50, 52, 60])
+        assert not xc
+        assert_dense_views(xc)
+
+    def test_views_sized_to_installed_span(self, monkeypatch):
+        # User regions start at VPN 1 << 20; absolute indexing would
+        # give every core two 2M-slot arrays for 32 L1 entries.
+        spans = {}
+        install = TranslationCache.install
+
+        def recording_install(self, vpn, *args):
+            low, high = spans.get(id(self), (vpn, vpn))
+            spans[id(self)] = (min(low, vpn), max(high, vpn))
+            install(self, vpn, *args)
+
+        monkeypatch.delenv(NO_FASTPATH_ENV, raising=False)
+        monkeypatch.setattr(TranslationCache, "install", recording_install)
+        sim = _run_scenario()[1]
+        for core in sim.machine.cores:
+            xc = core.xlate
+            if id(xc) not in spans:
+                assert xc.hfn6.shape[0] == 0
+                continue
+            low, high = spans[id(xc)]
+            bound = 2 * (1 << (high - low).bit_length())
+            assert xc.hfn6.shape[0] <= bound
+            assert xc.hfn6_w.shape[0] == xc.hfn6.shape[0]
 
 
 def _run_scenario():
@@ -144,15 +223,15 @@ def _run_scenario():
     sim.run_until_finished(bench)
     sim.stop(churn)
     result = sim.result_for(bench)
-    return snapshot_simulation("bench", sim, result).to_dict()
+    return snapshot_simulation("bench", sim, result).to_dict(), sim
 
 
 class TestEndToEndIdentity:
     def test_fastpath_snapshot_identical_to_reference(self, monkeypatch):
         monkeypatch.delenv(NO_FASTPATH_ENV, raising=False)
-        fast = _run_scenario()
+        fast = _run_scenario()[0]
         monkeypatch.setenv(NO_FASTPATH_ENV, "1")
-        reference = _run_scenario()
+        reference = _run_scenario()[0]
         assert json.dumps(fast, sort_keys=True) == json.dumps(
             reference, sort_keys=True
         )

@@ -4,9 +4,9 @@ Covers: call-graph construction edge cases (method resolution through
 bases, decorated functions, lambdas and closures, dynamic-dispatch
 fallback-to-unknown, registry dicts), summary fixed-point convergence on
 a recursive cycle, one end-to-end fixture per program-rule family
-(positive finding + clean counterpart), the ``fastpath-invalidation``
-alias, ``--jobs`` output equality, and the zero-findings enforcement for
-the new rules over the real ``src/`` tree.
+(positive finding + clean counterpart), ``--jobs`` output equality, and
+the zero-findings enforcement for the new rules over the real ``src/``
+tree.
 """
 
 from __future__ import annotations
@@ -16,12 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import (
-    RULE_ALIASES,
-    RULES,
-    lint_paths,
-    lint_source,
-)
+from repro.lint import lint_paths, lint_source
 from repro.lint.cli import main as lint_main
 from repro.lint.ipa import Program, Summaries, extract_facts
 from repro.lint.ipa.callgraph import function_id
@@ -428,7 +423,7 @@ def test_spawn_safety_clean_for_returns_and_safe_singletons():
 
 
 # ---------------------------------------------------------------------- #
-# fastpath-invalidation alias
+# guest page-table shootdown contract
 # ---------------------------------------------------------------------- #
 
 UNPAIRED = (
@@ -438,35 +433,8 @@ UNPAIRED = (
 )
 
 
-def test_alias_registered_and_not_a_rule():
-    assert RULE_ALIASES["fastpath-invalidation"] == "mirror-coherence"
-    assert "fastpath-invalidation" not in RULES
-
-
-def test_alias_pragma_still_suppresses():
-    src = (
-        "def do_free(process, vpn):\n"
-        "    return process.page_table.unmap(vpn)  "
-        "# simlint: disable=fastpath-invalidation (legacy pragma)\n"
-    )
-    assert rules_hit(src) == []
+def test_unpaired_pt_mutation_flags_mirror_coherence():
     assert rules_hit(UNPAIRED) == ["mirror-coherence"]
-
-
-def test_alias_disable_still_works():
-    assert (
-        lint_source(UNPAIRED, disabled=["fastpath-invalidation"]) == []
-    )
-
-
-def test_alias_accepted_by_cli_disable(tmp_path, capsys):
-    target = tmp_path / "snippet.py"
-    target.write_text(UNPAIRED, encoding="utf-8")
-    assert (
-        lint_main([str(target), "--disable", "fastpath-invalidation"]) == 0
-    )
-    assert lint_main([str(target)]) == 1
-    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------- #

@@ -17,7 +17,6 @@ import pytest
 
 from repro.lint import (
     JSON_SCHEMA_VERSION,
-    RULE_ALIASES,
     RULES,
     iter_rules,
     lint_paths,
@@ -67,9 +66,6 @@ def test_registry_has_expected_rules():
         "spawn-safety",
     } <= names
     assert set(RULES) == names
-    # The retired per-function rule survives only as an alias.
-    assert "fastpath-invalidation" not in names
-    assert RULE_ALIASES["fastpath-invalidation"] == "mirror-coherence"
 
 
 # ---------------------------------------------------------------------- #

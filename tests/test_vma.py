@@ -40,6 +40,10 @@ class TestMmap:
         with pytest.raises(AllocationError):
             AddressSpace().mmap(0)
 
+    def test_negative_pages_reports_count(self):
+        with pytest.raises(AllocationError, match=r"^mmap of -3 pages: npages must be positive$"):
+            AddressSpace().mmap(-3)
+
     def test_named_region(self):
         vma = AddressSpace().mmap(5, name="edges")
         assert vma.name == "edges"
