@@ -8,8 +8,8 @@ paper's argument rests on:
   frame conservation (:func:`check_buddy`);
 * the **PaRT** -- radix-path consistency, aligned reservation groups, and
   no double-reserved frames (:func:`check_part`);
-* per-process **page tables** -- level consistency, node/page accounting
-  and flag sanity (:func:`check_page_table`);
+* per-process **page tables** -- level consistency, node/page accounting,
+  flag sanity and leaf-index coherence (:func:`check_page_table`);
 
 plus whole-kernel accounting (:func:`check_kernel`): every frame is in
 exactly one of the /proc/meminfo states and the RESERVED count equals the
@@ -198,18 +198,23 @@ def check_page_table(page_table: "PageTable") -> None:
     Checks that child levels decrease by one per edge, slot indices are in
     range, translations live only in leaf nodes (or level 2 with the HUGE
     bit), every node frame is distinct, and the cached ``node_count`` /
-    ``mapped_pages`` totals match the tree.
+    ``mapped_pages`` / ``huge_count`` totals match the tree. The flat
+    ``leaf_index`` replica must hold exactly the tree's leaf entries (same
+    vpns, same PTEs), so ``len(leaf_index) + 512 * huge_count`` equals
+    ``mapped_pages``.
     """
     from .pagetable.pte import PteFlags, pte_present
     from .pagetable.radix import PageTable as _PageTable
-    from .units import PTES_PER_NODE
+    from .units import BITS_PER_LEVEL, PTES_PER_NODE
 
     nodes = 0
     mapped = 0
+    huge = 0
+    leaves: Dict[int, int] = {}
     node_frames: Dict[int, int] = {}
-    stack = [(page_table.root, page_table.levels)]
+    stack = [(page_table.root, page_table.levels, 0)]
     while stack:
-        node, expected_level = stack.pop()
+        node, expected_level, prefix = stack.pop()
         nodes += 1
         if node.level != expected_level:
             raise InvariantViolation(
@@ -231,26 +236,35 @@ def check_page_table(page_table: "PageTable") -> None:
                 f"level-{node.level} page-table node {node.frame} holds "
                 "translations (only leaf and level-2 huge entries allowed)"
             )
+        if node.children.keys() & node.entries.keys():
+            raise InvariantViolation(
+                f"page-table node {node.frame} has a slot holding both a "
+                "huge entry and a child node"
+            )
         for index in list(node.children) + list(node.entries):
             if not 0 <= index < PTES_PER_NODE:
                 raise InvariantViolation(
                     f"page-table slot {index} outside [0, {PTES_PER_NODE})"
                 )
-        for pte in node.entries.values():
+        for index, pte in node.entries.items():
             if not pte_present(pte):
                 raise InvariantViolation(
                     "non-present PTE stored in a page-table node"
                 )
             if node.is_leaf:
                 mapped += 1
+                leaves[(prefix << BITS_PER_LEVEL) | index] = pte
             else:  # level-2 entry: must be a huge mapping
                 if not pte & PteFlags.HUGE:
                     raise InvariantViolation(
                         "level-2 page-table entry without the HUGE bit"
                     )
                 mapped += _PageTable.HUGE_PAGES
-        for child in node.children.values():
-            stack.append((child, expected_level - 1))
+                huge += 1
+        for index, child in node.children.items():
+            stack.append(
+                (child, expected_level - 1, (prefix << BITS_PER_LEVEL) | index)
+            )
     if nodes != page_table.node_count:
         raise InvariantViolation(
             f"page-table node_count {page_table.node_count} != live nodes "
@@ -260,6 +274,20 @@ def check_page_table(page_table: "PageTable") -> None:
         raise InvariantViolation(
             f"page-table mapped_pages {page_table.mapped_pages} != live "
             f"translations {mapped}"
+        )
+    if huge != page_table.huge_count:
+        raise InvariantViolation(
+            f"page-table huge_count {page_table.huge_count} != live huge "
+            f"mappings {huge}"
+        )
+    if leaves != page_table.leaf_index:
+        stale = sorted(
+            set(leaves.items()) ^ set(page_table.leaf_index.items())
+        )[:4]
+        raise InvariantViolation(
+            f"page-table leaf index disagrees with the radix leaves "
+            f"({len(page_table.leaf_index)} indexed vs {len(leaves)} in the "
+            f"tree; differing (vpn, pte): {stale})"
         )
 
 
@@ -317,19 +345,26 @@ def check_fault_path(
     O(tree depth), so it can run after *every* fault:
 
     * the page-table path of ``vpn`` has strictly decreasing levels and a
-      present leaf (or huge) translation;
+      present leaf (or huge) translation, and the flat leaf index holds
+      exactly that leaf PTE (or nothing, for a huge translation);
     * the frame backing ``vpn`` is inside physical memory, is not tagged
       FREE, and does not sit on any buddy free list;
     * if the process' PaRT holds a reservation for ``vpn``'s group, the
       reservation is aligned, in-range and not full.
     """
-    from .pagetable.pte import pte_frame
+    from .pagetable.pte import PteFlags, pte_frame
 
     page_table = process.page_table
     path, pte = page_table.walk_path_and_pte(vpn)
     if pte is None:
         raise InvariantViolation(
             f"pid {process.pid}: vpn {vpn:#x} unmapped right after fault"
+        )
+    indexed = page_table.leaf_index.get(vpn)
+    if indexed != (None if pte & PteFlags.HUGE else pte):
+        raise InvariantViolation(
+            f"pid {process.pid}: leaf index holds {indexed} for vpn "
+            f"{vpn:#x} but the radix walk finds {pte}"
         )
     expected = page_table.levels
     for level, node_frame, _index in path:

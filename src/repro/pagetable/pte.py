@@ -2,19 +2,23 @@
 
 A PTE is modelled, as on x86-64, as a single integer: the physical frame
 number shifted left by 12 bits, OR-ed with flag bits in the low 12 bits.
-Functions here pack and unpack that encoding; keeping PTEs as plain ints
-keeps page tables compact and the walker fast.
+Functions here pack and unpack that encoding; keeping PTEs and their
+flags as plain ints keeps page tables compact and every flag test a
+single int ``&``.
 """
 
 from __future__ import annotations
 
-import enum
-
 from ..units import PAGE_SHIFT
 
 
-class PteFlags(enum.IntFlag):
-    """x86-style PTE flag bits (subset relevant to the simulation)."""
+class PteFlags:
+    """x86-style PTE flag bits (subset relevant to the simulation).
+
+    A namespace of plain int constants: flags combine with ``|`` and
+    test with ``&`` as ordinary ints, so the fault path, which tests
+    flags on every call, builds no enum objects.
+    """
 
     NONE = 0
     PRESENT = 1 << 0
@@ -35,11 +39,11 @@ FLAGS_MASK = (1 << PAGE_SHIFT) - 1
 PTE_EMPTY = 0
 
 
-def make_pte(frame: int, flags: PteFlags = PteFlags.PRESENT) -> int:
+def make_pte(frame: int, flags: int = PteFlags.PRESENT) -> int:
     """Encode ``frame`` and ``flags`` into a PTE integer."""
     if frame < 0:
         raise ValueError("frame must be non-negative")
-    return (frame << PAGE_SHIFT) | int(flags)
+    return (frame << PAGE_SHIFT) | flags
 
 
 def pte_frame(pte: int) -> int:
@@ -47,21 +51,21 @@ def pte_frame(pte: int) -> int:
     return pte >> PAGE_SHIFT
 
 
-def pte_flags(pte: int) -> PteFlags:
+def pte_flags(pte: int) -> int:
     """Flag bits stored in ``pte``."""
-    return PteFlags(pte & FLAGS_MASK)
+    return pte & FLAGS_MASK
 
 
 def pte_present(pte: int) -> bool:
-    """True if ``pte`` has the PRESENT bit set."""
-    return bool(pte & PteFlags.PRESENT)
+    """True if ``pte`` has the PRESENT bit (bit 0) set."""
+    return (pte & 1) == 1
 
 
-def pte_set_flags(pte: int, flags: PteFlags) -> int:
+def pte_set_flags(pte: int, flags: int) -> int:
     """Return ``pte`` with ``flags`` additionally set."""
-    return pte | int(flags)
+    return pte | flags
 
 
-def pte_clear_flags(pte: int, flags: PteFlags) -> int:
+def pte_clear_flags(pte: int, flags: int) -> int:
     """Return ``pte`` with ``flags`` cleared."""
-    return pte & ~int(flags)
+    return pte & ~flags

@@ -5,6 +5,13 @@ owning kernel's buddy allocator, so the *physical address of each PTE* is
 well defined: ``node_frame * 4096 + index * 8``. The page walker uses
 those addresses to drive the cache hierarchy -- which is the entire point
 of the paper: whether consecutive walks touch the same PTE cache blocks.
+
+Software queries (``lookup``/``translate``/``is_mapped``, asked on every
+fault, free and COW check) do not need those addresses, so they read a
+flat ``vpn -> pte`` replica of the tree's 4KB leaves instead: one dict
+probe rather than a per-level descent. Every mutation below updates the
+tree and the replica together; :func:`repro.invariants.check_page_table`
+checks they agree.
 """
 
 from __future__ import annotations
@@ -44,8 +51,13 @@ class PageTableNode:
 
     @property
     def live_slots(self) -> int:
-        """Number of populated slots in this node."""
-        return len(self.entries) if self.is_leaf else len(self.children)
+        """Number of populated slots in this node.
+
+        A level-2 node counts its huge entries too, so unmapping one 2MB
+        mapping (or the last 4KB page under one slot) never prunes a node
+        that still holds a neighbouring huge mapping.
+        """
+        return len(self.entries) + len(self.children)
 
 
 class PageTable:
@@ -78,6 +90,10 @@ class PageTable:
         self.root = PageTableNode(self._alloc_frame(), levels)
         self.mapped_pages = 0
         self.node_count = 1
+        #: Flat replica of every present 4KB leaf entry, ``vpn -> pte``.
+        self.leaf_index: Dict[int, int] = {}
+        #: Live 2MB mappings; ``lookup`` consults the tree only while > 0.
+        self.huge_count = 0
         #: Optional :class:`repro.sanitizer.FrameSanitizer` plus the owning
         #: pid, attached by the kernel in debug mode so every PTE install /
         #: removal advances the frame's shadow lifecycle. Host page tables
@@ -97,12 +113,15 @@ class PageTable:
     # Mapping
     # ------------------------------------------------------------------ #
 
-    def map(self, vpn: int, pfn: int, flags: PteFlags = PteFlags.PRESENT) -> None:
+    def map(self, vpn: int, pfn: int, flags: int = PteFlags.PRESENT) -> None:
         """Install a translation ``vpn -> pfn``; creates interior nodes.
 
-        Raises :class:`PageTableError` if ``vpn`` is already mapped (a real
-        kernel would BUG on double-mapping without an unmap in between).
+        Raises :class:`PageTableError` if ``vpn`` is already mapped, by a
+        4KB or a huge entry (a real kernel would BUG on double-mapping
+        without an unmap in between).
         """
+        if self.huge_count and self.huge_entry_for(vpn) is not None:
+            raise PageTableError(f"vpn {vpn:#x} already mapped by a huge page")
         indices = self._indices(vpn)
         node = self.root
         for index in indices[:-1]:
@@ -115,7 +134,9 @@ class PageTable:
         leaf_index = indices[-1]
         if pte_present(node.entries.get(leaf_index, PTE_EMPTY)):
             raise PageTableError(f"vpn {vpn:#x} already mapped")
-        node.entries[leaf_index] = make_pte(pfn, flags | PteFlags.PRESENT)
+        pte = make_pte(pfn, flags | PteFlags.PRESENT)
+        node.entries[leaf_index] = pte
+        self.leaf_index[vpn] = pte
         self.mapped_pages += 1
         san = self.sanitizer
         if san is not None:
@@ -148,6 +169,7 @@ class PageTable:
             pfn, PteFlags.PRESENT | PteFlags.HUGE
         )
         self.mapped_pages += self.HUGE_PAGES
+        self.huge_count += 1
         san = self.sanitizer
         if san is not None:
             for offset in range(self.HUGE_PAGES):
@@ -169,6 +191,7 @@ class PageTable:
         if not pte_present(pte) or not pte & PteFlags.HUGE:
             raise PageTableError(f"vpn {vpn:#x} has no huge mapping")
         self.mapped_pages -= self.HUGE_PAGES
+        self.huge_count -= 1
         san = self.sanitizer
         if san is not None:
             base_frame = pte_frame(pte)
@@ -216,6 +239,7 @@ class PageTable:
         pte = node.entries.pop(leaf_index, PTE_EMPTY)
         if not pte_present(pte):
             raise PageTableError(f"vpn {vpn:#x} not mapped")
+        del self.leaf_index[vpn]
         self.mapped_pages -= 1
         san = self.sanitizer
         if san is not None:
@@ -230,13 +254,15 @@ class PageTable:
             self.node_count -= 1
         return pte_frame(pte)
 
-    def update(self, vpn: int, pfn: int, flags: PteFlags) -> None:
+    def update(self, vpn: int, pfn: int, flags: int) -> None:
         """Replace the translation for an already-mapped ``vpn``."""
-        node, leaf_index = self._leaf_for(vpn)
-        if node is None or not pte_present(node.entries.get(leaf_index, 0)):
+        old_pte = self.leaf_index.get(vpn)
+        if old_pte is None:
             raise PageTableError(f"vpn {vpn:#x} not mapped")
-        old_pte = node.entries[leaf_index]
-        node.entries[leaf_index] = make_pte(pfn, flags | PteFlags.PRESENT)
+        node, leaf_index = self._leaf_for(vpn)
+        pte = make_pte(pfn, flags | PteFlags.PRESENT)
+        node.entries[leaf_index] = pte
+        self.leaf_index[vpn] = pte
         san = self.sanitizer
         if san is not None:
             old_frame = pte_frame(old_pte)
@@ -253,20 +279,19 @@ class PageTable:
 
         For a page inside a huge mapping, returns a synthesized 4KB-style
         PTE pointing at the page's frame within the huge frame range, with
-        the HUGE bit still set so callers can recognise it.
+        the HUGE bit still set so callers can recognise it. One probe of
+        the leaf index; the tree is descended only while a huge mapping
+        is live.
         """
-        node, leaf_index = self._leaf_for(vpn)
-        if node is not None:
-            pte = node.entries.get(leaf_index, PTE_EMPTY)
-            if pte_present(pte):
-                return pte
-        huge = self.huge_entry_for(vpn)
-        if huge is not None:
-            offset = vpn % self.HUGE_PAGES
-            return make_pte(
-                pte_frame(huge) + offset, PteFlags.PRESENT | PteFlags.HUGE
-            )
-        return None
+        pte = self.leaf_index.get(vpn)
+        if pte is None and self.huge_count:
+            huge = self.huge_entry_for(vpn)
+            if huge is not None:
+                return make_pte(
+                    pte_frame(huge) + vpn % self.HUGE_PAGES,
+                    PteFlags.PRESENT | PteFlags.HUGE,
+                )
+        return pte
 
     def translate(self, vpn: int) -> Optional[int]:
         """Return the physical frame for ``vpn`` or ``None`` if unmapped."""
@@ -374,6 +399,8 @@ class PageTable:
         self.root = PageTableNode(self._alloc_frame(), self.levels)
         self.mapped_pages = 0
         self.node_count = 1
+        self.leaf_index.clear()
+        self.huge_count = 0
 
     def _destroy_node(self, node: PageTableNode) -> None:
         for child in node.children.values():

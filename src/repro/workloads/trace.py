@@ -11,6 +11,11 @@ JSON-lines interchange format and a workload that replays it:
     {"op": "free",   "region": "heap"}
     {"op": "phase",  "phase": "compute"}
 
+Page counts and indices must be JSON integers and ``write`` a JSON
+boolean; ``block``, ``write``, ``start_page`` and ``npages`` (of
+``free``) may be left out. Any other line raises
+:class:`~repro.errors.WorkloadError` naming ``path:line`` and the cause.
+
 `save_trace` writes any op iterable in this format (useful for freezing
 one of the bundled statistical workloads into a shareable artifact), and
 `TraceWorkload` streams a file back into the simulator without
@@ -65,29 +70,94 @@ def op_to_record(op: MemoryOp) -> dict:
     raise WorkloadError(f"cannot serialize op {op!r}")
 
 
-def record_to_op(record: dict) -> MemoryOp:
-    """Deserialize one JSON record to its op."""
+def _region(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("expected a string")
+    return value
+
+
+def _int(value) -> int:
+    # No coercion: int() would accept "17" and truncate 1.9.
+    if type(value) is not int:
+        raise TypeError("expected a JSON integer")
+    return value
+
+
+def _bool(value) -> bool:
+    # No coercion: bool("false") is True.
+    if type(value) is not bool:
+        raise TypeError("expected true or false")
+    return value
+
+
+#: Marks a key every record of its kind must carry.
+_REQUIRED = object()
+
+#: ``op -> (op type, ((key, converter, default), ...))``, keys in the op
+#: type's field order.
+_RECORD_FIELDS = {
+    "mmap": (
+        MmapOp,
+        (("region", _region, _REQUIRED), ("npages", _int, _REQUIRED)),
+    ),
+    "brk": (
+        BrkOp,
+        (("region", _region, _REQUIRED), ("grow_pages", _int, _REQUIRED)),
+    ),
+    "access": (
+        AccessOp,
+        (
+            ("region", _region, _REQUIRED),
+            ("page", _int, _REQUIRED),
+            ("block", _int, 0),
+            ("write", _bool, False),
+        ),
+    ),
+    "free": (
+        FreeOp,
+        (
+            ("region", _region, _REQUIRED),
+            ("start_page", _int, 0),
+            ("npages", _int, 0),
+        ),
+    ),
+    "phase": (PhaseOp, (("phase", WorkloadPhase, _REQUIRED),)),
+}
+
+
+def record_to_op(record, where: str = "trace record") -> MemoryOp:
+    """Deserialize one JSON record to its op.
+
+    Raises :class:`WorkloadError` prefixed with ``where`` (``path:line``
+    when reading a file) for a non-object record, an unknown ``op``, a
+    missing key, or a value of the wrong type.
+    """
+    if not isinstance(record, dict):
+        raise WorkloadError(
+            f"{where}: expected a JSON object, got {type(record).__name__}"
+        )
     kind = record.get("op")
-    if kind == "mmap":
-        return MmapOp(record["region"], int(record["npages"]))
-    if kind == "brk":
-        return BrkOp(record["region"], int(record["grow_pages"]))
-    if kind == "access":
-        return AccessOp(
-            record["region"],
-            int(record["page"]),
-            int(record.get("block", 0)),
-            bool(record.get("write", False)),
-        )
-    if kind == "free":
-        return FreeOp(
-            record["region"],
-            int(record.get("start_page", 0)),
-            int(record.get("npages", 0)),
-        )
-    if kind == "phase":
-        return PhaseOp(WorkloadPhase(record["phase"]))
-    raise WorkloadError(f"unknown trace record {record!r}")
+    spec = _RECORD_FIELDS.get(kind) if isinstance(kind, str) else None
+    if spec is None:
+        raise WorkloadError(f"{where}: unknown trace record {record!r}")
+    op_type, fields = spec
+    values = []
+    for key, convert, default in fields:
+        if key not in record:
+            if default is _REQUIRED:
+                raise WorkloadError(
+                    f"{where}: {kind!r} record is missing key {key!r}"
+                )
+            values.append(default)
+            continue
+        try:
+            values.append(convert(record[key]))
+        except (TypeError, ValueError) as exc:
+            raise WorkloadError(
+                f"{where}: {kind!r} record has bad {key!r} value "
+                f"{record[key]!r} ({exc})"
+            ) from None
+    return op_type(*values)
 
 
 def save_trace(path: Union[str, Path], ops: Iterable[MemoryOp]) -> int:
@@ -107,13 +177,12 @@ def load_trace(path: Union[str, Path]) -> Iterator[MemoryOp]:
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{line_number}"
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise WorkloadError(
-                    f"{path}:{line_number}: invalid JSON ({exc})"
-                ) from exc
-            yield record_to_op(record)
+                raise WorkloadError(f"{where}: invalid JSON ({exc})") from exc
+            yield record_to_op(record, where)
 
 
 class TraceWorkload(Workload):
@@ -152,50 +221,33 @@ class TraceWorkload(Workload):
         return load_trace(self.path)
 
     def ops_batched(self) -> Iterator[OpChunk]:
-        # Native packer: access records go straight from parsed JSON into
-        # the chunk arrays, skipping the per-record AccessOp that ops()
-        # constructs. Parse errors surface identically to load_trace.
+        # Packs the ops() stream: access records go into the chunk
+        # arrays, every other op ends a chunk as its tail. Sharing
+        # load_trace keeps parsing and its errors identical across the
+        # two engine modes.
         regions: List[str] = []
         intern_index: Dict[str, int] = {}
         ridx: List[int] = []
         pages: List[int] = []
         blocks: List[int] = []
         writes: List[bool] = []
-        with open(self.path) as handle:
-            for line_number, line in enumerate(handle, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise WorkloadError(
-                        f"{self.path}:{line_number}: invalid JSON ({exc})"
-                    ) from exc
-                if record.get("op") == "access":
-                    region = record["region"]
-                    idx = intern_index.get(region)
-                    if idx is None:
-                        idx = intern_index[region] = len(regions)
-                        regions.append(region)
-                    ridx.append(idx)
-                    pages.append(int(record["page"]))
-                    blocks.append(int(record.get("block", 0)) & 63)
-                    writes.append(bool(record.get("write", False)))
-                    if len(pages) >= CHUNK_SIZE:
-                        yield pack_chunk(
-                            tuple(regions), ridx, pages, blocks, writes
-                        )
-                        ridx, pages, blocks, writes = [], [], [], []
-                    continue
-                yield pack_chunk(
-                    tuple(regions),
-                    ridx,
-                    pages,
-                    blocks,
-                    writes,
-                    record_to_op(record),
-                )
-                ridx, pages, blocks, writes = [], [], [], []
+        for op in load_trace(self.path):
+            if type(op) is AccessOp:
+                idx = intern_index.get(op.region)
+                if idx is None:
+                    idx = intern_index[op.region] = len(regions)
+                    regions.append(op.region)
+                ridx.append(idx)
+                pages.append(op.page)
+                blocks.append(op.block & 63)
+                writes.append(op.write)
+                if len(pages) >= CHUNK_SIZE:
+                    yield pack_chunk(
+                        tuple(regions), ridx, pages, blocks, writes
+                    )
+                    ridx, pages, blocks, writes = [], [], [], []
+                continue
+            yield pack_chunk(tuple(regions), ridx, pages, blocks, writes, op)
+            ridx, pages, blocks, writes = [], [], [], []
         if pages:
             yield pack_chunk(tuple(regions), ridx, pages, blocks, writes)

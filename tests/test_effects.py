@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import RULE_ALIASES, RULES, lint_paths, lint_source
+from repro.lint import RULES, lint_paths, lint_source
 from repro.lint.cli import main as lint_main
 from repro.lint.effects import (
     ALLOC,
@@ -526,8 +526,7 @@ def test_committed_baseline_is_empty_and_current():
 # --list-rules
 # --------------------------------------------------------------------- #
 
-def test_cli_list_rules_sorted_with_kind_and_aliases(capsys, monkeypatch):
-    monkeypatch.setitem(RULE_ALIASES, "legacy-coherence", "mirror-coherence")
+def test_cli_list_rules_sorted_with_kind_and_aliases(capsys):
     assert lint_main(["--list-rules"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     names = [line.split()[0] for line in lines]
@@ -535,7 +534,6 @@ def test_cli_list_rules_sorted_with_kind_and_aliases(capsys, monkeypatch):
     for line in lines:
         assert "[file/" in line or "[program/" in line
     by_name = dict(zip(names, lines))
-    assert "aliases: legacy-coherence" in by_name["mirror-coherence"]
     assert "[program/hotpath]" in by_name["hotpath-alloc"]
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PageTableError
+from repro.invariants import check_page_table
 from repro.pagetable.pte import (
     PteFlags,
     make_pte,
@@ -141,6 +142,23 @@ class TestNodeManagement:
         assert table.node_count == 1
 
 
+    def test_map_inside_huge_mapping_raises(self, table):
+        table.map_huge(0, PageTable.HUGE_PAGES)
+        with pytest.raises(PageTableError):
+            table.map(3, 7)
+        assert table.translate(3) == PageTable.HUGE_PAGES + 3
+
+    def test_unmap_huge_keeps_neighbouring_huge_mapping(self, table):
+        huge = PageTable.HUGE_PAGES
+        table.map_huge(0, 0)
+        table.map_huge(huge, huge)
+        table.unmap_huge(0)
+        # Both 2MB entries share one level-2 node; it must survive.
+        assert table.translate(huge + 3) == huge + 3
+        assert table.mapped_pages == huge
+        check_page_table(table)
+
+
 class TestWalkPath:
     def test_full_path_for_mapped_page(self, table):
         table.map(0x12345, 7)
@@ -206,3 +224,112 @@ class TestPropertyBased:
             table.unmap(vpn)
         assert table.mapped_pages == 0
         assert table.node_count == 1
+
+
+def _slow_lookup(table, vpn):
+    """Reference lookup: a radix descent, then the huge-entry descent."""
+    node, leaf_index = table._leaf_for(vpn)
+    if node is not None:
+        pte = node.entries.get(leaf_index, 0)
+        if pte_present(pte):
+            return pte
+    huge = table.huge_entry_for(vpn)
+    if huge is None:
+        return None
+    return make_pte(
+        pte_frame(huge) + vpn % PageTable.HUGE_PAGES,
+        PteFlags.PRESENT | PteFlags.HUGE,
+    )
+
+
+#: Two neighbouring 2MB ranges under one level-2 node plus a distant one
+#: under another root slot; a few offsets in each, so steps collide, leaf
+#: nodes fill and empty, and huge maps meet both empty and busy ranges.
+_BASES = (0, PageTable.HUGE_PAGES, 1 << 27)
+_vpns = st.builds(
+    lambda base, offset: base + offset,
+    st.sampled_from(_BASES),
+    st.sampled_from((0, 1, 2, 255, PageTable.HUGE_PAGES - 1)),
+)
+_frames = st.integers(min_value=0, max_value=(1 << 20) - 1)
+_steps = st.one_of(
+    st.tuples(st.just("map"), _vpns, _frames),
+    # unmap/update pick a vpn seen so far (mapped or not) by position.
+    st.tuples(st.just("unmap"), st.integers(min_value=0)),
+    st.tuples(
+        st.just("update"),
+        st.integers(min_value=0),
+        _frames,
+        st.sampled_from(
+            (
+                PteFlags.PRESENT,
+                PteFlags.PRESENT | PteFlags.COW,
+                PteFlags.WRITABLE,
+            )
+        ),
+    ),
+    st.tuples(st.just("map_huge"), st.sampled_from(_BASES), _frames),
+    st.tuples(st.just("unmap_huge"), st.sampled_from(_BASES)),
+    st.tuples(st.just("destroy")),
+)
+
+
+class TestLeafIndexCoherence:
+    """The flat leaf index answers every software query exactly as the
+    radix tree does, after any sequence of page-table mutations."""
+
+    @given(st.lists(_steps, min_size=10, max_size=50))
+    @settings(max_examples=80, deadline=None)
+    def test_queries_match_radix_descent(self, steps):
+        frames = FrameSource()
+        table = PageTable(frames.alloc, frames.release)
+        probes = set()
+        for step in steps:
+            kind = step[0]
+            if kind == "map":
+                _, vpn, pfn = step
+                if _slow_lookup(table, vpn) is None:
+                    table.map(vpn, pfn)
+                else:  # mapped by a 4KB or a huge entry
+                    with pytest.raises(PageTableError):
+                        table.map(vpn, pfn)
+                probes.add(vpn)
+            elif kind in ("unmap", "update"):
+                if not probes:
+                    continue
+                vpn = sorted(probes)[step[1] % len(probes)]
+                pte = _slow_lookup(table, vpn)
+                if kind == "unmap":
+                    mutate = lambda: table.unmap(vpn)  # noqa: E731
+                else:
+                    mutate = lambda: table.update(vpn, *step[2:])  # noqa: E731
+                if pte is not None and not pte & PteFlags.HUGE:
+                    mutate()
+                else:  # only 4KB leaves can be unmapped or updated
+                    with pytest.raises(PageTableError):
+                        mutate()
+            elif kind == "map_huge":
+                _, base, pfn = step
+                pfn -= pfn % PageTable.HUGE_PAGES
+                try:
+                    table.map_huge(base, pfn)
+                except PageTableError:
+                    pass
+                last = base + PageTable.HUGE_PAGES - 1
+                probes.update((base, base + 1, last))
+            elif kind == "unmap_huge":
+                base = step[1]
+                try:
+                    table.unmap_huge(base)
+                except PageTableError:
+                    pass
+            else:
+                table.destroy()
+            for vpn in probes:
+                expected = _slow_lookup(table, vpn)
+                assert table.lookup(vpn) == expected
+                assert table.is_mapped(vpn) == (expected is not None)
+                assert table.translate(vpn) == (
+                    None if expected is None else pte_frame(expected)
+                )
+            check_page_table(table)
